@@ -93,11 +93,17 @@ class UpdateRule(ABC):
         to_check = graph.nodes if nodes is None else nodes
         for node in to_check:
             if graph.in_degree(node) < required:
-                raise AlgorithmPreconditionError(
-                    f"rule {self.name!r} with f = {self._f} requires in-degree "
-                    f">= {required}, but node {node!r} has in-degree "
-                    f"{graph.in_degree(node)}"
-                )
+                raise self.in_degree_error(node, graph.in_degree(node))
+
+    def in_degree_error(self, node: NodeId, in_degree: int) -> AlgorithmPreconditionError:
+        """Return the error :meth:`validate_graph` raises when ``node`` has
+        too small an in-degree (shared with engines that check the
+        precondition from their own degree arrays)."""
+        return AlgorithmPreconditionError(
+            f"rule {self.name!r} with f = {self._f} requires in-degree "
+            f">= {self.minimum_in_degree()}, but node {node!r} has in-degree "
+            f"{in_degree}"
+        )
 
     def alpha(self, graph: Digraph, nodes: Sequence[NodeId] | None = None) -> float | None:
         """Return ``α = min_i a_i`` over the given nodes (paper eq. 3).

@@ -58,6 +58,7 @@ from repro.experiments.feasibility_scale import (
     DEFAULT_SCALE_SIZES,
     feasibility_scale_battery,
     feasibility_scale_cell,
+    feasibility_scale_labels,
     feasibility_scale_study,
 )
 from repro.experiments.necessity import (
@@ -140,6 +141,7 @@ __all__ = [
     "DEFAULT_SCALE_SIZES",
     "feasibility_scale_battery",
     "feasibility_scale_cell",
+    "feasibility_scale_labels",
     "feasibility_scale_study",
     "NecessityDemonstration",
     "default_necessity_cases",

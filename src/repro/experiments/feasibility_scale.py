@@ -1,4 +1,4 @@
-"""Experiment E12 — the feasibility verdict stack on 100–1000-node graphs.
+"""Experiment E15 — the feasibility verdict stack on 100–1000-node graphs.
 
 The exhaustive Theorem-1 checker caps out in the mid-20s of nodes; the
 layered verdict stack (:mod:`repro.conditions.verdict`) keeps answering the
@@ -19,12 +19,16 @@ three random families chosen to exercise different layers:
 Every decided verdict's certificate is re-verified from scratch through
 :func:`repro.conditions.verdict.verify_certificate`; the ``certificate_ok``
 column must be true on every row.
+
+The registry grid lists the case labels without building a graph, and each
+cell builds only its own case, so importing :mod:`repro.experiments` stays
+cheap.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TypedDict
+from typing import Callable, TypedDict
 
 from repro.conditions.verdict import (
     UNKNOWN,
@@ -42,7 +46,7 @@ from repro.sweeps.schema import schema_from_typeddict
 
 
 class FeasibilityScaleRow(TypedDict):
-    """One audited verdict of the E12 feasibility-at-scale sweep."""
+    """One audited verdict of the E15 feasibility-at-scale sweep."""
 
     case: str
     n: int
@@ -79,43 +83,56 @@ FEASIBILITY_SCALE_SCHEMA = schema_from_typeddict(
 DEFAULT_SCALE_SIZES = (100, 300, 1000)
 
 
-def feasibility_scale_battery(seed: int = 11) -> list[tuple[str, Digraph, int]]:
+#: Default root seed of the battery's graph generators.
+BATTERY_SEED = 11
+
+#: The battery families: label template (``{n}`` is the node count), fault
+#: budget, and builder ``(n, generator seed) -> graph``.
+_SCALE_FAMILIES: tuple[tuple[str, int, Callable[[int, int], Digraph]], ...] = (
+    (
+        "hetring n={n} f=2 extra=0.5",
+        2,
+        lambda n, seed: heterogeneous_ring_lattice(n, 2, 0.5, rng=seed),
+    ),
+    (
+        "hetring n={n} f=2 extra=2.0",
+        2,
+        lambda n, seed: heterogeneous_ring_lattice(n, 2, 2.0, rng=seed),
+    ),
+    (
+        "erdos-renyi n={n} sparse f=2",
+        2,
+        lambda n, seed: erdos_renyi_digraph(n, 3.0 / n, rng=seed),
+    ),
+    (
+        "core-like n={n} f=3",
+        3,
+        lambda n, seed: random_core_like_network(n, 3, rng=seed),
+    ),
+)
+
+
+def _scale_cases() -> list[tuple[str, int, int, Callable[[int, int], Digraph]]]:
+    """``(label, n, f, builder)`` for every battery case, in battery order."""
+    return [
+        (template.format(n=n), n, f, build)
+        for n in DEFAULT_SCALE_SIZES
+        for template, f, build in _SCALE_FAMILIES
+    ]
+
+
+def feasibility_scale_labels() -> tuple[str, ...]:
+    """Return the battery's case labels, in order, without building a graph."""
+    return tuple(label for label, _, _, _ in _scale_cases())
+
+
+def feasibility_scale_battery(seed: int = BATTERY_SEED) -> list[tuple[str, Digraph, int]]:
     """Return the labelled 100–1000-node battery for the verdict sweep.
 
     Each size contributes one graph per family; generator seeds are derived
     from ``seed`` and the size so cases are independent but reproducible.
     """
-    cases: list[tuple[str, Digraph, int]] = []
-    for n in DEFAULT_SCALE_SIZES:
-        cases.append(
-            (
-                f"hetring n={n} f=2 extra=0.5",
-                heterogeneous_ring_lattice(n, 2, 0.5, rng=seed + n),
-                2,
-            )
-        )
-        cases.append(
-            (
-                f"hetring n={n} f=2 extra=2.0",
-                heterogeneous_ring_lattice(n, 2, 2.0, rng=seed + n),
-                2,
-            )
-        )
-        cases.append(
-            (
-                f"erdos-renyi n={n} sparse f=2",
-                erdos_renyi_digraph(n, 3.0 / n, rng=seed + n),
-                2,
-            )
-        )
-        cases.append(
-            (
-                f"core-like n={n} f=3",
-                random_core_like_network(n, 3, rng=seed + n),
-                3,
-            )
-        )
-    return cases
+    return [(label, build(n, seed + n), f) for label, n, f, build in _scale_cases()]
 
 
 def feasibility_scale_study(
@@ -160,14 +177,14 @@ def feasibility_scale_study(
 
 @register_experiment(
     name="feasibility_at_scale",
-    paper_section="Theorem-1 feasibility beyond the exact cap (E12)",
+    paper_section="Theorem-1 feasibility beyond the exact cap (E15)",
     claim=(
         "The layered verdict stack decides Theorem-1 feasibility with "
         "re-verifiable certificates on most 100-1000-node random graphs."
     ),
     engine="checker",
     grid={
-        "case": tuple(label for label, _, _ in feasibility_scale_battery()),
+        "case": feasibility_scale_labels(),
         "witness_attempts": (60,),
     },
     schema=FEASIBILITY_SCALE_SCHEMA,
@@ -175,10 +192,15 @@ def feasibility_scale_study(
 def feasibility_scale_cell(
     case: str, witness_attempts: int = 60, seed: int = 23
 ) -> list[FeasibilityScaleRow]:
-    """Registry cell for E12: the verdict stack on one battery graph."""
-    matching = select_labelled_case(
-        case, feasibility_scale_battery(), "feasibility_at_scale case"
+    """Registry cell for E15: the verdict stack on one battery graph.
+
+    Only this cell's graph is built.
+    """
+    [(label, n, f, build)] = select_labelled_case(
+        case, _scale_cases(), "feasibility_at_scale case"
     )
     return feasibility_scale_study(
-        battery=matching, witness_attempts=witness_attempts, seed=seed
+        battery=[(label, build(n, BATTERY_SEED + n), f)],
+        witness_attempts=witness_attempts,
+        seed=seed,
     )

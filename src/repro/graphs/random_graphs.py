@@ -115,7 +115,9 @@ def heterogeneous_ring_lattice(
     degree buckets) while the edge count stays ``O(n)``, so ``n = 10^5`` is
     cheap to build.  Construction is vectorized — the ring offsets and the
     extra-edge endpoints are drawn as flat NumPy arrays, not per-node Python
-    loops.
+    loops — and the graph is array-built
+    (:meth:`~repro.graphs.digraph.Digraph.from_edge_arrays`), so its
+    neighbour sets are only built if a set query needs them.
     """
     if f < 0:
         raise InvalidParameterError(f"f must be >= 0, got {f}")
@@ -143,10 +145,7 @@ def heterogeneous_ring_lattice(
     )
     sources = np.concatenate(ring_sources + [extra_sources])
     all_targets = np.concatenate(ring_targets + [extra_targets])
-    return Digraph(
-        nodes=range(n),
-        edges=zip(sources.tolist(), all_targets.tolist()),
-    )
+    return Digraph.from_edge_arrays(n, sources, all_targets)
 
 
 def random_core_like_network(

@@ -65,7 +65,11 @@ from repro.simulation.dynamic import (
     resolve_activity,
 )
 from repro.simulation.engine import SimulationConfig
-from repro.simulation.metrics import fault_free_extremes, within_hull
+from repro.simulation.metrics import (
+    fault_free_extremes,
+    require_finite_inputs,
+    within_hull,
+)
 from repro.simulation.trace import ExecutionTrace
 from repro.types import ConsensusOutcome, NodeId, ReceivedValue, ValueMap
 
@@ -199,6 +203,7 @@ class PartiallyAsynchronousEngine:
         state: dict[NodeId, float] = {
             node: float(inputs[node]) for node in graph.nodes
         }
+        require_finite_inputs(state, self._faulty)
         nodes_sorted = sorted(graph.nodes, key=repr)
         # Freshest value known per directed edge: (send_round, value).  The
         # initial entries model the paper's assumption that every node knows

@@ -37,6 +37,7 @@ from repro.simulation.metrics import (
     ParticipationValidityTracker,
     ValidityTracker,
     fault_free_extremes,
+    require_finite_inputs,
 )
 from repro.simulation.trace import ExecutionTrace
 from repro.types import ConsensusOutcome, NodeId, ReceivedValue, ValueMap
@@ -284,6 +285,7 @@ class SynchronousEngine:
         state: dict[NodeId, float] = {
             node: float(inputs[node]) for node in graph.nodes
         }
+        require_finite_inputs(state, self._faulty)
 
         trace = ExecutionTrace(faulty=self._faulty)
         # Under a schedule the participation-aware tracker additionally

@@ -13,6 +13,7 @@ decide convergence against a tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -36,6 +37,29 @@ def fault_free_extremes(
             "cannot compute fault-free extremes: every node is faulty"
         )
     return min(fault_free), max(fault_free)
+
+
+def require_finite_inputs(
+    values: Mapping[NodeId, float], faulty: frozenset[NodeId]
+) -> None:
+    """Raise :class:`~repro.exceptions.InvalidParameterError` when a
+    fault-free input is NaN or infinite.
+
+    Validity (eq. 1) and the spread mean nothing on such inputs: NaN fails
+    every comparison, so a run would report ``validity_ok`` with a ``nan``
+    spread.  Faulty nodes' inputs are the adversary's business and are not
+    checked.
+    """
+    bad = [
+        node
+        for node in sorted(values.keys() - faulty, key=repr)
+        if not math.isfinite(values[node])
+    ]
+    if bad:
+        raise InvalidParameterError(
+            f"fault-free inputs must be finite; got non-finite inputs for "
+            f"nodes {bad!r}"
+        )
 
 
 def spread(values: Mapping[NodeId, float], faulty: frozenset[NodeId]) -> float:

@@ -163,7 +163,7 @@ class SparseEngine(VectorizedEngine):
     # ------------------------------------------------------------------
     def _build_index_arrays(self) -> None:
         """Build the CSR lists, the bucket-major plane layout and the flat
-        channel scatter positions.
+        channel scatter positions, with array operations only.
 
         Two layouts coexist:
 
@@ -176,76 +176,76 @@ class SparseEngine(VectorizedEngine):
           slab; ``_plane_indices`` is the single per-round gather and
           ``_edge_plane_pos`` maps canonical channel ``j`` to its flat
           plane position.
+
+        Both come from the graph's edge index arrays
+        (:meth:`~repro.graphs.digraph.Digraph.edge_columns`): state columns
+        are ranks in ``repr`` order, so sorting edges by (receiver column,
+        sender column) *is* the canonical order.  The rule's in-degree
+        precondition is checked on the CSR degrees.
         """
-        graph = self._graph
         self._build_node_columns()
+        n = len(self._nodes)
+        ff_cols = self._ff_cols
+        is_faulty = np.zeros(n, dtype=bool)
+        is_faulty[self._faulty_cols] = True
+        ff_index = np.full(n, -1, dtype=np.int64)
+        ff_index[ff_cols] = np.arange(ff_cols.size)
 
-        indptr = [0]
-        indices: list[int] = []
-        edge_nodes: list[tuple[NodeId, NodeId]] = []
-        edge_receiver: list[int] = []  # ff-receiver index of channel j
-        edge_slot: list[int] = []  # sender slot within the receiver segment
-        for ff_index, column in enumerate(self._ff_cols):
-            receiver = self._nodes[column]
-            senders = sorted(graph.in_neighbors(receiver), key=repr)
-            for slot, sender in enumerate(senders):
-                indices.append(self._column[sender])
-                if sender in self._faulty:
-                    edge_nodes.append((sender, receiver))
-                    edge_receiver.append(ff_index)
-                    edge_slot.append(slot)
-            indptr.append(indptr[-1] + len(senders))
+        senders, receivers = self._graph.edge_columns(self._column)
+        into_ff = ~is_faulty[receivers]
+        senders, receivers = senders[into_ff], receivers[into_ff]
+        # Edges are unique, so a single key sort orders them by (receiver,
+        # sender) with no ties.
+        order = np.argsort(receivers * n + senders)
+        csr_indices = senders[order]
+        csr_receivers = ff_index[receivers[order]]
+        degrees = np.bincount(csr_receivers, minlength=ff_cols.size)
+        indptr = np.zeros(ff_cols.size + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        self._csr_indptr = indptr
+        self._csr_indices = csr_indices
+        self._check_in_degrees(degrees)
 
-        self._csr_indptr = np.array(indptr, dtype=np.int64)
-        self._csr_indices = np.array(indices, dtype=np.int64)
-        self._edge_nodes = tuple(edge_nodes)
-        self._edge_src_cols = np.array(
-            [self._column[s] for s, _t in edge_nodes], dtype=int
-        )
-        self._edge_dst_cols = np.array(
-            [self._column[t] for _s, t in edge_nodes], dtype=int
+        # Faulty → fault-free channels in canonical order.
+        channels = np.flatnonzero(is_faulty[csr_indices])
+        channel_receivers = csr_receivers[channels]
+        self._edge_src_cols = csr_indices[channels]
+        self._edge_dst_cols = ff_cols[channel_receivers]
+        nodes = self._nodes
+        self._edge_nodes = tuple(
+            (nodes[s], nodes[t])
+            for s, t in zip(self._edge_src_cols.tolist(), self._edge_dst_cols.tolist())
         )
 
         # Bucket-major plane layout: stable-sort fault-free receivers by
-        # exact in-degree, concatenate their CSR segments.
-        degrees = np.diff(self._csr_indptr)
-        by_degree: dict[int, list[int]] = {}
-        for ff_index, degree in enumerate(degrees):
-            by_degree.setdefault(int(degree), []).append(ff_index)
+        # exact in-degree and lay their CSR segments out in that order.
+        by_degree = np.argsort(degrees, kind="stable")
+        lengths = degrees[by_degree]
+        plane_stops = np.cumsum(lengths)
+        segment_start = np.empty(ff_cols.size, dtype=np.int64)
+        segment_start[by_degree] = plane_stops - lengths
+        self._plane_indices = csr_indices[
+            np.repeat(indptr[by_degree] - segment_start[by_degree], lengths)
+            + np.arange(csr_indices.size)
+        ]
+        self._edge_plane_pos = (
+            segment_start[channel_receivers] + channels - indptr[channel_receivers]
+        )
 
-        plane_chunks: list[np.ndarray] = []
-        segment_start = np.zeros(len(self._ff_cols), dtype=np.int64)
+        first = np.flatnonzero(np.diff(lengths, prepend=-1)).tolist()
         buckets: list[_DegreeBucket] = []
-        cursor = 0
-        for degree in sorted(by_degree):
-            members = by_degree[degree]
-            start = cursor
-            for ff_index in members:
-                segment_start[ff_index] = cursor
-                lo = self._csr_indptr[ff_index]
-                hi = self._csr_indptr[ff_index + 1]
-                plane_chunks.append(self._csr_indices[lo:hi])
-                cursor += degree
+        for lo, hi in zip(first, first[1:] + [ff_cols.size]):
+            start = int(segment_start[by_degree[lo]])
+            degree = int(lengths[lo])
             buckets.append(
                 _DegreeBucket(
                     degree=degree,
-                    columns=self._ff_cols[np.array(members, dtype=int)],
+                    columns=ff_cols[by_degree[lo:hi]],
                     plane_start=start,
-                    plane_stop=cursor,
+                    plane_stop=start + degree * (hi - lo),
                 )
             )
         self._buckets = tuple(buckets)
-        self._plane_indices = (
-            np.concatenate(plane_chunks)
-            if plane_chunks
-            else np.empty(0, dtype=np.int64)
-        )
-        self._edge_plane_pos = (
-            segment_start[np.array(edge_receiver, dtype=int)]
-            + np.array(edge_slot, dtype=np.int64)
-            if edge_nodes
-            else np.empty(0, dtype=np.int64)
-        )
 
         # Per-row working-set estimate for the tiling budget: the flat plane
         # plus the largest bucket's own+survivors block and its cumsum
@@ -260,6 +260,16 @@ class SparseEngine(VectorizedEngine):
         )
         self._plane_row_elements = self._plane_indices.size + 2 * max_trim_block
 
+    def _check_in_degrees(self, degrees: np.ndarray) -> None:
+        """Raise the rule's precondition error for the first fault-free
+        receiver (canonical order) whose CSR in-degree is too small."""
+        short = np.flatnonzero(degrees < self._rule.minimum_in_degree())
+        if short.size:
+            first = int(short[0])
+            raise self._rule.in_degree_error(
+                self._nodes[int(self._ff_cols[first])], int(degrees[first])
+            )
+
     def _build_schedule_arrays(self) -> None:
         """Precompute plane-order translations of schedule masks.
 
@@ -268,24 +278,26 @@ class SparseEngine(VectorizedEngine):
         canonical directed-edge position and ``_plane_recv_cols`` to its
         receiver's state column, so a round's ``(E,)`` edge mask becomes a
         flat list of down plane slots plus their self-substitution sources.
+        Sender columns are read straight from ``_plane_indices``.
         """
         layout = ScheduleLayout.for_graph(self._graph)
         self._sched_layout = layout
         self._chan_edge_pos = np.array(
             [layout.edge_index[edge] for edge in self._edge_nodes], dtype=int
         )
-        plane_edge_pos: list[int] = []
-        plane_recv_cols: list[int] = []
-        for bucket in self._buckets:
-            for column in bucket.columns:
-                receiver = self._nodes[int(column)]
-                senders = sorted(self._graph.in_neighbors(receiver), key=repr)
-                plane_edge_pos.extend(
-                    layout.edge_index[(sender, receiver)] for sender in senders
+        self._plane_recv_cols = np.concatenate(
+            [np.repeat(bucket.columns, bucket.degree) for bucket in self._buckets]
+        )
+        nodes = self._nodes
+        self._plane_edge_pos = np.array(
+            [
+                layout.edge_index[(nodes[sender], nodes[receiver])]
+                for sender, receiver in zip(
+                    self._plane_indices.tolist(), self._plane_recv_cols.tolist()
                 )
-                plane_recv_cols.extend([int(column)] * len(senders))
-        self._plane_edge_pos = np.array(plane_edge_pos, dtype=np.int64)
-        self._plane_recv_cols = np.array(plane_recv_cols, dtype=np.int64)
+            ],
+            dtype=np.int64,
+        )
 
     # ------------------------------------------------------------------
     # Introspection

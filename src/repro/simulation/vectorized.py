@@ -207,7 +207,6 @@ class VectorizedEngine:
             raise InvalidParameterError("at least one node must be fault-free")
         if len(self._faulty) > rule.f:
             raise FaultBudgetExceededError(len(self._faulty), rule.f)
-        rule.validate_graph(graph, nodes=sorted(fault_free, key=repr))
 
         self._build_index_arrays()
         if schedule is not None:
@@ -225,14 +224,16 @@ class VectorizedEngine:
             sorted(self._graph.nodes, key=repr)
         )
         self._column = {node: index for index, node in enumerate(self._nodes)}
-        self._faulty_cols = np.array(
-            [i for i, node in enumerate(self._nodes) if node in self._faulty],
-            dtype=int,
-        )
-        self._ff_cols = np.array(
-            [i for i, node in enumerate(self._nodes) if node not in self._faulty],
-            dtype=int,
-        )
+        is_faulty = np.zeros(len(self._nodes), dtype=bool)
+        is_faulty[
+            np.fromiter(
+                (self._column[node] for node in self._faulty),
+                dtype=np.int64,
+                count=len(self._faulty),
+            )
+        ] = True
+        self._faulty_cols = np.flatnonzero(is_faulty)
+        self._ff_cols = np.flatnonzero(~is_faulty)
 
     def _build_index_arrays(self) -> None:
         """Precompute the gather/scatter index arrays for one round.
@@ -243,9 +244,13 @@ class VectorizedEngine:
         single ``cumsum`` whose last column is the left-to-right total —
         reproducing the scalar engine's floating-point summation order
         bit for bit.  Within each node's row, senders are ordered by
-        ``repr`` (the scalar engine's deterministic tie-break).
+        ``repr`` (the scalar engine's deterministic tie-break).  The rule's
+        in-degree precondition is checked first.
         """
         graph = self._graph
+        self._rule.validate_graph(
+            graph, nodes=sorted(graph.nodes - self._faulty, key=repr)
+        )
         self._build_node_columns()
 
         # Canonical channel order (receiver-major, senders by repr within a
@@ -390,6 +395,7 @@ class VectorizedEngine:
 
         Accepts a single value map (``B = 1``), a sequence of value maps
         (one per row), or an already-packed array (validated and copied).
+        Non-finite fault-free inputs are rejected, as in the scalar engine.
         """
         if isinstance(inputs, np.ndarray):
             matrix = np.array(inputs, dtype=self._dtype)
@@ -400,7 +406,7 @@ class VectorizedEngine:
                     f"input matrix must have shape (B, {len(self._nodes)}), "
                     f"got {matrix.shape}"
                 )
-            return matrix
+            return self._require_finite(matrix)
         if isinstance(inputs, Mapping):
             inputs = [inputs]
         rows = []
@@ -413,7 +419,21 @@ class VectorizedEngine:
             rows.append([float(value_map[node]) for node in self._nodes])
         if not rows:
             raise InvalidParameterError("at least one input assignment is required")
-        return np.array(rows, dtype=self._dtype)
+        return self._require_finite(np.array(rows, dtype=self._dtype))
+
+    def _require_finite(self, matrix: np.ndarray) -> np.ndarray:
+        """Return ``matrix``, or raise if a fault-free column holds a NaN or
+        infinite input in any row."""
+        if np.isfinite(matrix).all():  # the common case, without a gather
+            return matrix
+        finite = np.isfinite(matrix[:, self._ff_cols]).all(axis=0)
+        if not finite.all():
+            bad = [self._nodes[int(column)] for column in self._ff_cols[~finite]]
+            raise InvalidParameterError(
+                f"fault-free inputs must be finite; got non-finite inputs for "
+                f"nodes {bad!r}"
+            )
+        return matrix
 
     def _context(
         self,

@@ -59,7 +59,8 @@ class ExperimentSpec:
         Registry key, also the CLI argument (``repro run <name>``).
     paper_section:
         The section / theorem of Vaidya–Tseng–Liang (PODC 2012) the
-        experiment reproduces, plus the historical driver id (E1–E12).
+        experiment reproduces, plus its driver id (``E1`` … ``E17``; each
+        id names one experiment).
     claim:
         One sentence stating what the experiment demonstrates.
     engine:

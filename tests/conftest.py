@@ -29,6 +29,7 @@ from repro.graphs import (
     core_network,
     hypercube,
 )
+from repro.graphs.random_graphs import heterogeneous_ring_lattice
 from repro.simulation import (
     SimulationConfig,
     SparseEngine,
@@ -120,6 +121,9 @@ SYNC_FAMILY_CASES = [
     # Large-degree case: trim windows wider than NumPy's pairwise-summation
     # block (128), pinning the engines' sequential summation order.
     ("core150-wide", lambda: core_network(150, 2), 2, {148, 149}, TrimmedMeanRule, "extreme-push"),
+    # Array-built graphs (Digraph.from_edge_arrays) with many degree buckets.
+    ("hetring40", lambda: heterogeneous_ring_lattice(40, 2, 2.0, rng=3), 2, {5, 17}, TrimmedMeanRule, "extreme-push"),
+    ("hetring60-mid", lambda: heterogeneous_ring_lattice(60, 1, 3.0, rng=8), 1, {11}, TrimmedMidpointRule, "static"),
 ]
 
 #: Case labels, for readable parametrized test ids.

@@ -92,6 +92,61 @@ class TestFeasibilityAtScale:
         for n in DEFAULT_SCALE_SIZES:
             assert any(f"n={n}" in label for label in labels)
 
+    def test_labels_match_battery_without_building_graphs(self):
+        from repro.experiments import (
+            feasibility_scale_battery,
+            feasibility_scale_labels,
+        )
+        from repro.sweeps.registry import get_experiment
+
+        labels = tuple(label for label, _, _ in feasibility_scale_battery())
+        assert feasibility_scale_labels() == labels
+        assert get_experiment("feasibility_at_scale").grid["case"] == labels
+
+    def test_registry_import_calls_no_generator(self):
+        """Importing the experiment registry builds none of the battery
+        graphs: no generator is called from the feasibility_at_scale module
+        (other drivers' small import-time graphs are not counted)."""
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys\n"
+            "import repro.graphs.random_graphs as rg\n"
+            "calls = []\n"
+            "def counting(*args, **kwargs):\n"
+            "    calls.append(sys._getframe(1).f_globals['__name__'])\n"
+            "for name in ('heterogeneous_ring_lattice', 'erdos_renyi_digraph',\n"
+            "             'random_core_like_network'):\n"
+            "    setattr(rg, name, counting)\n"
+            "import repro.experiments\n"
+            "print(calls.count('repro.experiments.feasibility_scale'))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "0"
+
+    def test_cell_builds_only_its_own_graph(self, monkeypatch):
+        import repro.experiments.feasibility_scale as module
+
+        built: list[str] = []
+        for name in (
+            "heterogeneous_ring_lattice",
+            "erdos_renyi_digraph",
+            "random_core_like_network",
+        ):
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                built.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        rows = module.feasibility_scale_cell("erdos-renyi n=100 sparse f=2")
+        assert built == ["erdos_renyi_digraph"]
+        assert [row["case"] for row in rows] == ["erdos-renyi n=100 sparse f=2"]
+
     def test_cell_decides_core_like_with_valid_certificate(self):
         from repro.experiments import feasibility_scale_cell
 

@@ -264,3 +264,71 @@ class TestRunConsensusFacade:
         )
         assert outcome.converged
         assert all(0.0 <= value <= 1.0 for value in outcome.final_values.values())
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite fault-free input is rejected up front.
+
+    Without the check every engine reported ``validity_ok=True`` with a
+    ``nan``/``inf`` final spread on ``core_network(9, 2)``.
+    """
+
+    @staticmethod
+    def _inputs(bad_value):
+        graph = core_network(9, 2)
+        inputs = linear_ramp_inputs(graph.nodes)
+        inputs[4] = bad_value
+        return graph, inputs
+
+    @pytest.mark.parametrize("bad_value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "engine_kind", ["scalar", "dense", "sparse", "scalar-async", "vectorized-async"]
+    )
+    def test_run_rejects_non_finite_fault_free_input(self, engine_kind, bad_value):
+        from repro.simulation import (
+            PartiallyAsynchronousEngine,
+            SparseEngine,
+            VectorizedAsyncEngine,
+            VectorizedEngine,
+        )
+
+        graph, inputs = self._inputs(bad_value)
+        factories = {
+            "scalar": SynchronousEngine,
+            "dense": VectorizedEngine,
+            "sparse": SparseEngine,
+            "scalar-async": PartiallyAsynchronousEngine,
+            "vectorized-async": VectorizedAsyncEngine,
+        }
+        engine = factories[engine_kind](graph, TrimmedMeanRule(2), faulty={0, 1})
+        with pytest.raises(InvalidParameterError, match="finite"):
+            engine.run(inputs)
+
+    @pytest.mark.parametrize("bad_value", [float("nan"), float("inf")])
+    def test_pack_inputs_rejects_non_finite_matrix(self, bad_value):
+        import numpy as np
+
+        from repro.simulation import SparseEngine, VectorizedEngine
+
+        graph, inputs = self._inputs(bad_value)
+        for factory in (VectorizedEngine, SparseEngine):
+            engine = factory(graph, TrimmedMeanRule(2), faulty={0, 1})
+            rows = [linear_ramp_inputs(graph.nodes), inputs]
+            with pytest.raises(InvalidParameterError, match=r"nodes \[4\]"):
+                engine.pack_inputs(rows)
+            matrix = np.zeros((3, 9))
+            matrix[2, engine.nodes.index(4)] = bad_value
+            with pytest.raises(InvalidParameterError, match=r"nodes \[4\]"):
+                engine.run_batch(matrix)
+
+    def test_faulty_inputs_are_not_checked(self):
+        graph, inputs = self._inputs(float("nan"))
+        inputs[4] = 0.5
+        inputs[0] = float("inf")
+        outcome = SynchronousEngine(
+            graph,
+            TrimmedMeanRule(2),
+            faulty={0, 1},
+            adversary=StaticValueStrategy(0.5),
+        ).run(inputs)
+        assert outcome.validity_ok

@@ -42,6 +42,7 @@ from repro.graphs import (
     random_core_like_network,
     ring_lattice,
 )
+from repro.graphs.random_graphs import heterogeneous_ring_lattice
 from repro.simulation import SimulationConfig, SparseEngine, VectorizedEngine
 from repro.simulation.vectorized import random_input_matrix
 
@@ -49,6 +50,8 @@ from repro.simulation.vectorized import random_input_matrix
 FAST_CASES = 40
 #: Total seeded cases; seeds >= FAST_CASES are marked ``slow``.
 TOTAL_CASES = 200
+#: Extra ``heterogeneous_ring_lattice`` cases, seeded from their own stream.
+HETRING_CASES, HETRING_STREAM = 24, 7001
 
 FAMILIES = ("complete", "core", "core-like", "ring", "k-in-regular")
 STRATEGY_KINDS = (
@@ -113,7 +116,11 @@ def _draw_strategy(rng: np.random.Generator, seed: int):
 def _fuzz_one(seed: int) -> None:
     rng = np.random.default_rng(seed)
     f = int(rng.integers(1, 3))
-    graph = _draw_graph(rng, f)
+    _differential(rng, seed, f, _draw_graph(rng, f))
+
+
+def _differential(rng: np.random.Generator, seed: int, f: int, graph) -> None:
+    """Draw the rest of the scenario from ``rng`` and compare the engines."""
     nodes = sorted(graph.nodes, key=repr)
     fault_count = int(rng.integers(0, f + 1))
     faulty = frozenset(
@@ -183,3 +190,15 @@ def test_sparse_matches_dense_fuzz_fast(seed):
 def test_sparse_matches_dense_fuzz_full(seed):
     """The long tail of the randomized differential sweep."""
     _fuzz_one(seed)
+
+
+@pytest.mark.parametrize("seed", range(HETRING_CASES))
+def test_sparse_matches_dense_fuzz_hetring(seed):
+    """Extra cases on array-built heterogeneous ring lattices (dozens of
+    degree buckets), drawn from their own seed stream so the main sweep's
+    draws are unchanged."""
+    rng = np.random.default_rng([HETRING_STREAM, seed])
+    f = int(rng.integers(1, 3))
+    n = int(rng.integers(2 * f + 3, 90))
+    graph = heterogeneous_ring_lattice(n, f, float(rng.uniform(0.0, 4.0)), rng=rng)
+    _differential(rng, seed, f, graph)

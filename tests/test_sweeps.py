@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,19 @@ class TestRegistry:
             assert spec.default_cell_count >= 1, name
             for key, values in spec.grid.items():
                 assert values, (name, key)
+
+    def test_experiment_ids_are_unique(self):
+        """Every driver id (``E1``, ``E10b``; ranges like ``E4-E6`` expand)
+        names exactly one registered experiment."""
+        owners: dict[str, list[str]] = {}
+        for name, spec in all_experiments().items():
+            ids = re.findall(r"E(\d+)([a-z]?)(?:-E(\d+))?", spec.paper_section)
+            assert ids, name
+            for first, suffix, last in ids:
+                for number in range(int(first), int(last or first) + 1):
+                    owners.setdefault(f"E{number}{suffix}", []).append(name)
+        duplicated = {eid: names for eid, names in owners.items() if len(names) > 1}
+        assert not duplicated
 
     def test_get_experiment_unknown_name(self):
         with pytest.raises(InvalidParameterError, match="registered experiments"):
